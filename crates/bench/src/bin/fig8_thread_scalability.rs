@@ -4,7 +4,7 @@
 //! Shadowfax with acceleration disabled.  The paper reports ~128 Mops/s for
 //! FASTER, ~130 Mops/s for Shadowfax, and ~75 Mops/s without acceleration at
 //! 64 threads; the reproduction predicts the curves from costs measured on
-//! this machine (see DESIGN.md §1 for the substitution rationale).
+//! this machine.
 
 use shadowfax_bench::calibrate::{calibrate, CalibrationConfig};
 use shadowfax_bench::model::shadowfax_scaling;

@@ -11,7 +11,7 @@
 //!   (Figures 8–9, Table 2, Figure 15, and the 8-server scaling claim).  The
 //!   evaluation machine has a single vCPU, so multi-core scaling cannot be
 //!   observed directly; the model reproduces the *shape* the paper reports
-//!   from the same cost structure (see DESIGN.md §1).
+//!   from the same cost structure.
 //! * [`timeline`] — runs live scale-out experiments on an in-process cluster
 //!   (real server threads, real migrations) and samples per-server
 //!   throughput, pending-operation counts, and migration traffic

@@ -101,8 +101,8 @@ pub fn banner(experiment: &str, paper_result: &str) {
     println!("==============================================================");
     println!("{experiment}");
     println!("Paper reference: {paper_result}");
-    println!("Environment: simulated substrate (see DESIGN.md §1); absolute");
-    println!("numbers differ from the paper's Azure testbed, shapes should hold.");
+    println!("Environment: simulated substrate; absolute numbers differ from");
+    println!("the paper's Azure testbed, shapes should hold.");
     println!("==============================================================");
 }
 

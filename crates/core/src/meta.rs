@@ -9,7 +9,7 @@
 //! back a consistent snapshot of the ownership map.  A mutex-protected map
 //! provides exactly those semantics in-process; nothing in the rest of the
 //! system can tell the difference from a real ZooKeeper ensemble, which is
-//! why this substitution is sound (see DESIGN.md §1).
+//! why this substitution is sound.
 //!
 //! Multi-process clusters replicate the store: every mutation bumps a
 //! **cluster epoch**, and [`MetadataStore::replica`] /

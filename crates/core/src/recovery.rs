@@ -10,7 +10,7 @@
 //! ownership map and drops its in-flight migration state, and the crashed
 //! server is restarted from its latest checkpoint.
 //!
-//! Simulation notes (see DESIGN.md §1):
+//! Simulation notes:
 //!
 //! * A "crash" stops the server's dispatch threads and discards the in-memory
 //!   `Server`; the simulated SSD (and the shared blob tier) survive, exactly

@@ -58,10 +58,6 @@
 //!                                batches over real sockets)
 //! ```
 //!
-//! The pre-tree flat verbs — `migrate FROM TO FRACTION`, `wait`, `status`,
-//! `cancel`, `cancel-stats`, `tier-stats`, `ownership` — keep working as
-//! hidden aliases of the commands above.
-//!
 //! Exit codes (shared by every verb so scripts never parse text):
 //!   0   success / migration complete or in flight (status)
 //!   1   error (unknown migration id, unreachable server, ...)
@@ -133,9 +129,8 @@ fn ctrl_for(addr: &str) -> CtrlClient {
     CtrlClient::connect(addr, Duration::from_secs(5)).unwrap_or_else(|e| fail(e))
 }
 
-/// Normalizes the command tree and every hidden flat alias onto one
-/// canonical verb, so dispatch below has exactly one spelling per
-/// operation.
+/// Normalizes the command tree onto one canonical verb, so dispatch below
+/// has exactly one spelling per operation.
 fn canonicalize(mut rest: Vec<String>) -> (&'static str, Vec<String>) {
     let head = rest.remove(0);
     let sub = |rest: &mut Vec<String>| -> String { rest.remove(0) };
@@ -161,8 +156,6 @@ fn canonicalize(mut rest: Vec<String>) -> (&'static str, Vec<String>) {
                 sub(&mut rest);
                 ("migrate-stats", rest)
             }
-            // Hidden alias: the flat `migrate FROM TO FRACTION` form.
-            Some(tok) if tok.parse::<u64>().is_ok() => ("migrate-start", rest),
             _ => usage(),
         },
         "tier" => match rest.first().map(String::as_str) {
@@ -187,13 +180,6 @@ fn canonicalize(mut rest: Vec<String>) -> (&'static str, Vec<String>) {
             }
             _ => usage(),
         },
-        // Hidden flat aliases from before the command tree.
-        "wait" => ("migrate-wait", rest),
-        "status" => ("migrate-status", rest),
-        "cancel" => ("migrate-cancel", rest),
-        "cancel-stats" => ("migrate-stats", rest),
-        "tier-stats" => ("tier-stats", rest),
-        "ownership" => ("cluster-layout", rest),
         "ping" => ("ping", rest),
         "get" => ("get", rest),
         "put" => ("put", rest),

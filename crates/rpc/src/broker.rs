@@ -750,10 +750,6 @@ impl crate::ClusterControl for CoordinatedControl {
         crate::ClusterControl::cancel_migration(self.cluster.as_ref(), migration_id)
     }
 
-    fn cancel_stats(&self) -> crate::codec::WireCancelStats {
-        self.cluster.as_ref().cancel_stats()
-    }
-
     fn connect_fabric(
         &self,
         fabric_addr: &str,
@@ -779,10 +775,6 @@ impl crate::ClusterControl for CoordinatedControl {
         query: &shadowfax::ChainFetchQuery,
     ) -> Result<shadowfax::ChainFetchReply, (shadowfax_net::StatusCode, String)> {
         self.cluster.as_ref().fetch_chain(query)
-    }
-
-    fn tier_stats(&self) -> crate::codec::WireTierStats {
-        self.cluster.as_ref().tier_stats()
     }
 
     fn metrics(&self) -> Arc<shadowfax_obs::MetricsRegistry> {

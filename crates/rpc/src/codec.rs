@@ -29,8 +29,7 @@
 //! compaction hand-offs, plus the fault-tolerance traffic: `Heartbeat` /
 //! `HeartbeatAck` liveness probes and `CancelMigration`) that the core
 //! state machines exchange.  The control plane can also cancel a migration
-//! ([`WireMsg::CancelMigration`]) and read the cancellation counters
-//! ([`WireMsg::GetCancelStats`]).
+//! ([`WireMsg::CancelMigration`]).
 //!
 //! Chain-fetch frames serve the *shared tier* across processes: a target
 //! that received an indirection record naming a log another process hosts
@@ -45,14 +44,8 @@
 //! event timeline — the single source for `shadowfax-cli metrics` and the
 //! checked-in `BENCH_*.json` perf trajectories.  Namespaced pulls
 //! ([`WireMsg::GetMetricsNs`]) answer with the same frame filtered to one
-//! name prefix; they subsume the stats-family frames.
-//!
-//! **Deprecated** (kept decoding and answering for one release, remove
-//! after): [`WireMsg::GetTierStats`]/[`WireMsg::TierStats`] (`0x42`/`0x43`)
-//! and [`WireMsg::GetCancelStats`]/[`WireMsg::CancelStats`]
-//! (`0x2A`/`0x2B`) are legacy single-family stat pulls — new callers issue
-//! a namespaced [`WireMsg::GetMetricsNs`] query (`tier.` / `migration.`
-//! prefixes) instead.
+//! name prefix; they replaced the retired single-family stats frames, whose
+//! kind bytes (`0x2A`/`0x2B`, `0x42`/`0x43`) stay unassigned.
 //!
 //! Broker frames replicate the metadata store across processes: the broker
 //! pulls every peer's epoch-tagged replica ([`WireMsg::GetMetaReplica`] →
@@ -97,14 +90,10 @@ mod kind {
     pub const MIG_STATUS: u8 = 0x27;
     pub const MIG_STATE: u8 = 0x28;
     pub const CANCEL_MIGRATION: u8 = 0x29;
-    pub const GET_CANCEL_STATS: u8 = 0x2A;
-    pub const CANCEL_STATS: u8 = 0x2B;
     pub const MIG_HELLO: u8 = 0x30;
     pub const MIGRATION: u8 = 0x31;
     pub const FETCH_CHAIN: u8 = 0x40;
     pub const CHAIN_RECORDS: u8 = 0x41;
-    pub const GET_TIER_STATS: u8 = 0x42;
-    pub const TIER_STATS: u8 = 0x43;
     pub const GET_METRICS: u8 = 0x50;
     pub const METRICS: u8 = 0x51;
     pub const GET_METRICS_NS: u8 = 0x52;
@@ -298,10 +287,6 @@ pub enum WireMsg {
         /// The migration to cancel.
         migration_id: u64,
     },
-    /// Request the cancellation / liveness counters (control plane).
-    GetCancelStats,
-    /// The cancellation / liveness counters (control plane reply).
-    CancelStats(WireCancelStats),
     /// First frame on a dedicated migration connection: binds it to
     /// dispatch thread `thread` of local server `server` in the receiving
     /// process.
@@ -324,10 +309,6 @@ pub enum WireMsg {
     FetchChain(ChainFetchQuery),
     /// The record batch answering a [`WireMsg::FetchChain`].
     ChainRecords(ChainFetchReply),
-    /// Request the shared-tier serving counters (control plane).
-    GetTierStats,
-    /// The shared-tier counters (control plane reply).
-    TierStats(WireTierStats),
     /// Request a full metrics snapshot: every registry counter family,
     /// gauge, latency histogram, and the migration event timeline
     /// (control plane; `shadowfax-cli metrics`).
@@ -338,9 +319,7 @@ pub enum WireMsg {
     Metrics(MetricsSnapshot),
     /// Request a metrics snapshot filtered to names starting with `prefix`
     /// (`""` pulls everything, same as [`WireMsg::GetMetrics`]).  Answered
-    /// with [`WireMsg::Metrics`].  This namespaced query subsumes the
-    /// deprecated [`WireMsg::GetTierStats`]/[`WireMsg::GetCancelStats`]
-    /// single-family pulls.
+    /// with [`WireMsg::Metrics`].
     GetMetricsNs {
         /// The name prefix to keep (counters, gauges, histograms; timeline
         /// events are filtered on their `name` field).
@@ -646,7 +625,9 @@ impl WireMetaReplica {
     }
 }
 
-/// Shared-tier chain-fetch counters, as carried on the wire.
+/// Shared-tier chain-fetch counters of one process, assembled by
+/// [`CtrlClient::tier_stats`](crate::CtrlClient::tier_stats) from a
+/// namespaced metrics pull.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireTierStats {
     /// Chain fetches this process served out of its shared tier.
@@ -661,7 +642,9 @@ pub struct WireTierStats {
     pub remote_fetches: u64,
 }
 
-/// Cancellation / liveness counters, as carried on the wire.
+/// Cancellation / liveness counters of one process, assembled by
+/// [`CtrlClient::cancel_stats`](crate::CtrlClient::cancel_stats) from a
+/// namespaced metrics pull.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireCancelStats {
     /// Cancellation events at this process's servers, one per server role
@@ -1013,13 +996,6 @@ pub fn encode_frame(msg: &WireMsg) -> Vec<u8> {
             body.push(kind::CANCEL_MIGRATION);
             put_u64(&mut body, *migration_id);
         }
-        WireMsg::GetCancelStats => body.push(kind::GET_CANCEL_STATS),
-        WireMsg::CancelStats(stats) => {
-            body.push(kind::CANCEL_STATS);
-            put_u64(&mut body, stats.migrations_cancelled);
-            put_u64(&mut body, stats.records_rolled_back);
-            put_u64(&mut body, stats.heartbeats_missed);
-        }
         WireMsg::MigHello { server, thread } => {
             body.push(kind::MIG_HELLO);
             put_u32(&mut body, *server);
@@ -1048,15 +1024,6 @@ pub fn encode_frame(msg: &WireMsg) -> Vec<u8> {
                 body.extend_from_slice(&rec.flags.to_le_bytes());
                 put_bytes(&mut body, &rec.value);
             }
-        }
-        WireMsg::GetTierStats => body.push(kind::GET_TIER_STATS),
-        WireMsg::TierStats(stats) => {
-            body.push(kind::TIER_STATS);
-            put_u64(&mut body, stats.served);
-            put_u64(&mut body, stats.records_served);
-            put_u64(&mut body, stats.rejected_stale_view);
-            put_u64(&mut body, stats.rejected_out_of_range);
-            put_u64(&mut body, stats.remote_fetches);
         }
         WireMsg::GetMetrics => body.push(kind::GET_METRICS),
         WireMsg::Metrics(snap) => {
@@ -1587,12 +1554,6 @@ fn decode_body(body: &[u8]) -> Result<WireMsg, CodecError> {
         kind::CANCEL_MIGRATION => WireMsg::CancelMigration {
             migration_id: r.u64()?,
         },
-        kind::GET_CANCEL_STATS => WireMsg::GetCancelStats,
-        kind::CANCEL_STATS => WireMsg::CancelStats(WireCancelStats {
-            migrations_cancelled: r.u64()?,
-            records_rolled_back: r.u64()?,
-            heartbeats_missed: r.u64()?,
-        }),
         kind::MIG_HELLO => WireMsg::MigHello {
             server: r.u32()?,
             thread: r.u32()?,
@@ -1625,14 +1586,6 @@ fn decode_body(body: &[u8]) -> Result<WireMsg, CodecError> {
                 records,
             })
         }
-        kind::GET_TIER_STATS => WireMsg::GetTierStats,
-        kind::TIER_STATS => WireMsg::TierStats(WireTierStats {
-            served: r.u64()?,
-            records_served: r.u64()?,
-            rejected_stale_view: r.u64()?,
-            rejected_out_of_range: r.u64()?,
-            remote_fetches: r.u64()?,
-        }),
         kind::GET_METRICS => WireMsg::GetMetrics,
         kind::METRICS => {
             let version = r.u32()?;
@@ -1989,15 +1942,19 @@ mod tests {
 
     #[test]
     fn bad_tags_are_rejected() {
-        let mut frame = encode_frame(&WireMsg::Ping(1));
-        frame[4] = 0x7F; // unknown frame kind
-        assert!(matches!(
-            decode_frame(&frame, MAX_FRAME_BYTES),
-            Err(CodecError::BadTag {
-                context: "frame kind",
-                tag: 0x7F
-            })
-        ));
+        // 0x7F was never assigned; 0x2A/0x2B and 0x42/0x43 are the retired
+        // cancel-stats and tier-stats frames, which must never decode again.
+        for tag in [0x7F, 0x2A, 0x2B, 0x42, 0x43] {
+            let mut frame = encode_frame(&WireMsg::Ping(1));
+            frame[4] = tag;
+            assert_eq!(
+                decode_frame(&frame, MAX_FRAME_BYTES),
+                Err(CodecError::BadTag {
+                    context: "frame kind",
+                    tag
+                })
+            );
+        }
     }
 
     #[test]
@@ -2116,12 +2073,6 @@ mod tests {
             cancelled: true,
         }));
         roundtrip(WireMsg::CancelMigration { migration_id: 7 });
-        roundtrip(WireMsg::GetCancelStats);
-        roundtrip(WireMsg::CancelStats(WireCancelStats {
-            migrations_cancelled: 1,
-            records_rolled_back: 4096,
-            heartbeats_missed: 17,
-        }));
         for msg in sample_migration_msgs() {
             roundtrip(WireMsg::Migration(msg));
         }
@@ -2259,14 +2210,6 @@ mod tests {
             next: 0,
             records: Vec::new(),
         }));
-        roundtrip(WireMsg::GetTierStats);
-        roundtrip(WireMsg::TierStats(WireTierStats {
-            served: 5,
-            records_served: 1234,
-            rejected_stale_view: 1,
-            rejected_out_of_range: 2,
-            remote_fetches: 99,
-        }));
     }
 
     fn sample_metrics_snapshot() -> MetricsSnapshot {
@@ -2331,7 +2274,6 @@ mod tests {
                 max_records: 8,
             }),
             WireMsg::ChainRecords(sample_chain_reply()),
-            WireMsg::TierStats(WireTierStats::default()),
         ] {
             let frame = encode_frame(&msg);
             for cut in 0..frame.len() {

@@ -242,8 +242,7 @@ impl CtrlClient {
     /// Fetches the peer process's cancellation / liveness counters.
     ///
     /// Assembled from a namespaced metrics query (the `sv*.migration.*`
-    /// counter families) rather than the deprecated `GET_CANCEL_STATS`
-    /// frame, which servers still answer for old clients.
+    /// counter families).
     pub fn cancel_stats(&mut self) -> Result<WireCancelStats, RpcError> {
         let snap = self.metrics_ns("sv")?;
         Ok(WireCancelStats {
@@ -266,9 +265,7 @@ impl CtrlClient {
     /// Fetches the peer process's shared-tier chain-fetch counters.
     ///
     /// Assembled from namespaced metrics queries (`tier.chain.*` plus the
-    /// per-server `sv*.chain.remote_fetches` family) rather than the
-    /// deprecated `GET_TIER_STATS` frame, which servers still answer for
-    /// old clients.
+    /// per-server `sv*.chain.remote_fetches` family).
     pub fn tier_stats(&mut self) -> Result<WireTierStats, RpcError> {
         let tier = self.metrics_ns("tier.chain.")?;
         let per_server = self.metrics_ns("sv")?;

@@ -13,7 +13,8 @@
 //! * [`RpcServer`] — the TCP front end: N I/O threads bridging socket
 //!   connections onto the cluster's dispatch threads, plus a control plane
 //!   (ownership snapshots, migration triggers) standing in for direct
-//!   metadata-store access.
+//!   metadata-store access.  It serves on the same epoll connection loop
+//!   as [`TierDaemon`]; only the per-connection handler differs.
 //! * [`RemoteClient`] — the out-of-process client: ownership-aware routing,
 //!   pipelined sessions, stale-view handling, all over the wire.  Servers
 //!   registered with socket addresses are dialled directly, so one client
@@ -50,6 +51,7 @@ pub mod bench;
 mod broker;
 mod client;
 pub mod codec;
+mod connloop;
 mod ctrl;
 mod fabric;
 mod server;
@@ -67,12 +69,10 @@ pub use codec::{
     WireCancelStats, WireMetaReplica, WireMigrationDep, WireMigrationState, WireMsg, WireOwnership,
     WireServerInfo, WireTierLog, WireTierStats, WireTierStatus, MAX_FRAME_BYTES,
 };
+pub use connloop::OUTBOUND_BUDGET_BYTES;
 pub use ctrl::{CtrlClient, RpcError};
 pub use fabric::TcpMigrationConnector;
-pub use server::{
-    ClusterControl, IoDriver, RpcServer, RpcServerConfig, RpcServerHandle, TierAwareControl,
-    OUTBOUND_BUDGET_BYTES,
-};
+pub use server::{ClusterControl, RpcServer, RpcServerConfig, RpcServerHandle, TierAwareControl};
 pub use tcp::{TcpLink, TcpMigrationLink, TcpTransport};
 pub use tier::{RemoteSharedTier, RemoteTierService};
 pub use tierd::{TierDaemon, TierDaemonConfig, TierDaemonHandle, MAX_TIER_READ_BYTES};

@@ -8,23 +8,10 @@
 //! snapshots, migration triggers, pings) are answered directly from the
 //! metadata store.
 //!
-//! Two I/O drivers implement that loop, selected by
-//! [`RpcServerConfig::io_driver`]:
-//!
-//! * [`IoDriver::Reactor`] (default) — readiness-driven: each I/O thread
-//!   runs an epoll [`Reactor`]; connections register edge-triggered read
-//!   interest, replies are queued into a bounded per-connection outbound
-//!   buffer flushed on write-readiness (a client that stops reading is
-//!   dropped when its buffer exceeds [`OUTBOUND_BUDGET_BYTES`], counted in
-//!   `rpc.conns.dropped_slow_reader`, without stalling its siblings), and
-//!   a thread whose connections are all quiet blocks in `epoll_wait` — so
-//!   idle connections cost no CPU and tens of thousands of them fit in
-//!   one process.  The acceptor blocks on listener readiness the same way.
-//! * [`IoDriver::Polling`] — the historical baseline: every I/O thread
-//!   busy-scans its whole connection list with a 200µs idle sleep and
-//!   `send` retries a blocking write for up to 5s.  Kept behind the flag
-//!   for A/B benching (`BENCH_connscale.json`); its per-idle-connection
-//!   CPU burn is the thing the reactor exists to delete.
+//! The serving mechanics — acceptor, per-I/O-thread epoll loops, bounded
+//! input and output, slow-reader drops — are the shared
+//! [connection loop](crate::connloop); this module supplies its
+//! per-connection handler and the [`ClusterControl`] seam behind it.
 //!
 //! This mirrors the paper's deployment shape — partitioned client sessions
 //! terminate on server dispatch threads; no request or reply crosses
@@ -32,30 +19,21 @@
 //! agnostic.
 
 use std::collections::VecDeque;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use shadowfax::{
     ChainFetchError, ChainFetchQuery, ChainFetchReply, Cluster, MigrationMsg, ServerId,
 };
-use shadowfax_net::{
-    Interest, KvLink, KvRequest, MigrationLink, Reactor, StatusCode, Token, Transport,
-    TransportError,
-};
-use shadowfax_obs::{Counter, Gauge, Histogram, MetricsRegistry};
+use shadowfax_net::{KvLink, KvRequest, MigrationLink, StatusCode, Transport, TransportError};
+use shadowfax_obs::{Counter, Histogram, MetricsRegistry};
 
 use crate::codec::{
-    encode_frame, FrameDecoder, WireBrokerStatus, WireCancelStats, WireMetaReplica,
-    WireMigrationState, WireMsg, WireOwnership, WireServerInfo, WireTierStats, MAX_FRAME_BYTES,
+    WireBrokerStatus, WireMetaReplica, WireMigrationState, WireMsg, WireOwnership, WireServerInfo,
+    MAX_FRAME_BYTES,
 };
+use crate::connloop::{ConnLoop, Handler, LoopSpec, Outbound};
 use crate::ctrl::CtrlClient;
-use crate::tcp::write_all_nonblocking;
 
 /// Budget for relaying a control operation (migrate / cancel) to the peer
 /// process that hosts the relevant source server.  Bounded so a
@@ -80,9 +58,6 @@ pub trait ClusterControl: Send + Sync {
     /// checkpoint and re-adopts the post-cancellation ownership map.
     fn cancel_migration(&self, migration_id: u64) -> Result<(), String>;
 
-    /// The process's cancellation / liveness counters.
-    fn cancel_stats(&self) -> WireCancelStats;
-
     /// Opens a fabric link to the dispatch thread at `fabric_addr`.
     fn connect_fabric(&self, fabric_addr: &str) -> Result<Box<dyn KvLink>, TransportError>;
 
@@ -99,9 +74,6 @@ pub trait ClusterControl: Send + Sync {
     /// (`StaleView`, `OutOfRange`, ...).
     fn fetch_chain(&self, query: &ChainFetchQuery)
         -> Result<ChainFetchReply, (StatusCode, String)>;
-
-    /// The process's shared-tier serving and remote-fetch counters.
-    fn tier_stats(&self) -> WireTierStats;
 
     /// The process-wide metrics registry: the front end answers
     /// `GET_METRICS` frames from it and records its serving-path latency
@@ -181,15 +153,6 @@ impl ClusterControl for Cluster {
         Cluster::cancel_migration(self, migration_id)
     }
 
-    fn cancel_stats(&self) -> WireCancelStats {
-        let snap = self.cancellation_stats();
-        WireCancelStats {
-            migrations_cancelled: snap.migrations_cancelled,
-            records_rolled_back: snap.records_rolled_back,
-            heartbeats_missed: snap.heartbeats_missed,
-        }
-    }
-
     fn connect_fabric(&self, fabric_addr: &str) -> Result<Box<dyn KvLink>, TransportError> {
         self.kv_network().connect_link(fabric_addr)
     }
@@ -227,17 +190,6 @@ impl ClusterControl for Cluster {
             };
             (status, e.to_string())
         })
-    }
-
-    fn tier_stats(&self) -> WireTierStats {
-        let served = self.chain_fetch_stats();
-        WireTierStats {
-            served: served.served,
-            records_served: served.records_served,
-            rejected_stale_view: served.rejected_stale_view,
-            rejected_out_of_range: served.rejected_out_of_range,
-            remote_fetches: self.remote_chain_fetches(),
-        }
     }
 
     fn metrics(&self) -> Arc<MetricsRegistry> {
@@ -308,10 +260,6 @@ impl ClusterControl for TierAwareControl {
         self.inner.cancel_migration(migration_id)
     }
 
-    fn cancel_stats(&self) -> WireCancelStats {
-        self.inner.cancel_stats()
-    }
-
     fn connect_fabric(&self, fabric_addr: &str) -> Result<Box<dyn KvLink>, TransportError> {
         self.inner.connect_fabric(fabric_addr)
     }
@@ -329,10 +277,6 @@ impl ClusterControl for TierAwareControl {
         query: &ChainFetchQuery,
     ) -> Result<ChainFetchReply, (StatusCode, String)> {
         self.inner.fetch_chain(query)
-    }
-
-    fn tier_stats(&self) -> WireTierStats {
-        self.inner.tier_stats()
     }
 
     fn metrics(&self) -> Arc<MetricsRegistry> {
@@ -430,80 +374,6 @@ impl ServingLatency {
     }
 }
 
-/// Per-process connection observability (`rpc.conns.*`), shared by every
-/// I/O thread and both drivers.  Visible via
-/// `shadowfax-cli metrics --ns rpc`.
-#[derive(Clone)]
-struct ConnMetrics {
-    /// Connections currently open across all I/O threads.
-    open: Gauge,
-    /// Connections ever accepted.
-    accepted: Counter,
-    /// Connections dropped because the peer hung up or the transport
-    /// failed.
-    dropped_dead: Counter,
-    /// Connections dropped because the peer stopped reading and its
-    /// outbound budget ran out.
-    dropped_slow_reader: Counter,
-    /// High-water mark of any single connection's outbound buffer, in
-    /// bytes (reactor driver only; the polling driver buffers in the
-    /// kernel).
-    outbuf_hwm_bytes: Gauge,
-}
-
-impl ConnMetrics {
-    fn new(metrics: &MetricsRegistry) -> Self {
-        ConnMetrics {
-            open: metrics.gauge("rpc.conns.open"),
-            accepted: metrics.counter("rpc.conns.accepted"),
-            dropped_dead: metrics.counter("rpc.conns.dropped_dead"),
-            dropped_slow_reader: metrics.counter("rpc.conns.dropped_slow_reader"),
-            outbuf_hwm_bytes: metrics.gauge("rpc.conns.outbuf_hwm_bytes"),
-        }
-    }
-
-    /// Raises the outbound high-water gauge to `bytes` if it grew.
-    /// Racy across threads in the way gauges are; the high-water mark is
-    /// advisory, not an invariant.
-    fn note_outbuf(&self, bytes: u64) {
-        if bytes > self.outbuf_hwm_bytes.value() {
-            self.outbuf_hwm_bytes.set(bytes);
-        }
-    }
-}
-
-/// Which event loop the I/O threads run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoDriver {
-    /// Busy-scan every connection with an idle sleep (the pre-reactor
-    /// baseline, kept for A/B benching).
-    Polling,
-    /// Readiness-driven epoll reactor: idle connections cost no CPU.
-    #[default]
-    Reactor,
-}
-
-impl std::str::FromStr for IoDriver {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "polling" => Ok(IoDriver::Polling),
-            "reactor" => Ok(IoDriver::Reactor),
-            other => Err(format!("io driver must be polling|reactor, got {other:?}")),
-        }
-    }
-}
-
-impl std::fmt::Display for IoDriver {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            IoDriver::Polling => "polling",
-            IoDriver::Reactor => "reactor",
-        })
-    }
-}
-
 /// Knobs for the TCP front end.
 #[derive(Debug, Clone)]
 pub struct RpcServerConfig {
@@ -513,8 +383,6 @@ pub struct RpcServerConfig {
     pub io_threads: usize,
     /// Per-frame size limit enforced on received frames.
     pub max_frame: usize,
-    /// The event-loop implementation the I/O threads run.
-    pub io_driver: IoDriver,
 }
 
 impl Default for RpcServerConfig {
@@ -523,7 +391,6 @@ impl Default for RpcServerConfig {
             listen: "127.0.0.1:0".to_string(),
             io_threads: 2,
             max_frame: MAX_FRAME_BYTES,
-            io_driver: IoDriver::default(),
         }
     }
 }
@@ -533,19 +400,13 @@ pub struct RpcServer;
 
 /// Join handle for a running front end.
 pub struct RpcServerHandle {
-    local_addr: std::net::SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    /// Reactor-driver loops to wake at shutdown so blocked `epoll_wait`
-    /// calls notice the flag; empty under the polling driver.
-    wakers: Vec<Arc<Reactor>>,
-    joins: Vec<JoinHandle<()>>,
+    serving: ConnLoop,
 }
 
 impl std::fmt::Debug for RpcServerHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RpcServerHandle")
-            .field("local_addr", &self.local_addr)
-            .field("threads", &self.joins.len())
+            .field("local_addr", &self.serving.local_addr())
             .finish()
     }
 }
@@ -553,17 +414,7 @@ impl std::fmt::Debug for RpcServerHandle {
 impl RpcServerHandle {
     /// The socket address actually bound (resolves ephemeral ports).
     pub fn local_addr(&self) -> std::net::SocketAddr {
-        self.local_addr
-    }
-
-    fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        for waker in &self.wakers {
-            waker.wake();
-        }
-        for j in self.joins.drain(..) {
-            let _ = j.join();
-        }
+        self.serving.local_addr()
     }
 
     /// Stops the acceptor and I/O threads and waits for them to exit.
@@ -571,13 +422,13 @@ impl RpcServerHandle {
     /// dispatch threads complete inside the cluster but their replies are
     /// discarded.
     pub fn shutdown(mut self) {
-        self.stop();
+        self.serving.stop();
     }
 }
 
 impl Drop for RpcServerHandle {
     fn drop(&mut self) {
-        self.stop();
+        self.serving.stop();
     }
 }
 
@@ -588,162 +439,19 @@ impl RpcServer {
         control: Arc<dyn ClusterControl>,
         config: RpcServerConfig,
     ) -> std::io::Result<RpcServerHandle> {
-        let listener = TcpListener::bind(&config.listen)?;
-        let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let io_threads = config.io_threads.max(1);
         let metrics = control.metrics();
         let latency = ServingLatency::new(&metrics);
-        let conns = ConnMetrics::new(&metrics);
-
-        let mut joins = Vec::with_capacity(io_threads + 1);
-        let mut wakers: Vec<Arc<Reactor>> = Vec::new();
-        let mut senders: Vec<Sender<TcpStream>> = Vec::with_capacity(io_threads);
-        // Reactor driver: one reactor per I/O thread (created here so bind
-        // failures surface from `serve`), plus one for the acceptor.
-        let mut io_reactors: Vec<Arc<Reactor>> = Vec::new();
-        let acceptor_reactor = match config.io_driver {
-            IoDriver::Polling => None,
-            IoDriver::Reactor => {
-                for _ in 0..io_threads {
-                    io_reactors.push(Arc::new(Reactor::new()?));
-                }
-                Some(Arc::new(Reactor::new()?))
-            }
-        };
-        wakers.extend(io_reactors.iter().cloned());
-        wakers.extend(acceptor_reactor.iter().cloned());
-
-        for t in 0..io_threads {
-            let (tx, rx) = unbounded::<TcpStream>();
-            senders.push(tx);
-            let control = Arc::clone(&control);
-            let shutdown = Arc::clone(&shutdown);
-            let max_frame = config.max_frame;
-            let latency = latency.clone();
-            let conns = conns.clone();
-            let reactor = io_reactors.get(t).cloned();
-            joins.push(
-                std::thread::Builder::new()
-                    .name(format!("shadowfax-rpc-io-{t}"))
-                    .spawn(move || match reactor {
-                        Some(reactor) => io_thread_reactor(
-                            reactor, rx, control, shutdown, max_frame, latency, conns,
-                        ),
-                        None => io_thread_polling(rx, control, shutdown, max_frame, latency, conns),
-                    })
-                    .expect("failed to spawn rpc i/o thread"),
-            );
-        }
-
-        let shutdown_acceptor = Arc::clone(&shutdown);
-        let conns_acceptor = conns.clone();
-        let io_wakers = io_reactors.clone();
-        joins.push(
-            std::thread::Builder::new()
-                .name("shadowfax-rpc-accept".to_string())
-                .spawn(move || match acceptor_reactor {
-                    Some(reactor) => accept_loop_reactor(
-                        reactor,
-                        listener,
-                        senders,
-                        io_wakers,
-                        shutdown_acceptor,
-                        conns_acceptor,
-                    ),
-                    None => {
-                        accept_loop_polling(listener, senders, shutdown_acceptor, conns_acceptor)
-                    }
-                })
-                .expect("failed to spawn rpc acceptor thread"),
-        );
-
-        Ok(RpcServerHandle {
-            local_addr,
-            shutdown,
-            wakers,
-            joins,
-        })
-    }
-}
-
-/// The polling acceptor: sleep-poll the nonblocking listener (the
-/// pre-reactor baseline).
-fn accept_loop_polling(
-    listener: TcpListener,
-    senders: Vec<Sender<TcpStream>>,
-    shutdown: Arc<AtomicBool>,
-    conns: ConnMetrics,
-) {
-    let mut next = 0usize;
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nodelay(true);
-                let _ = stream.set_nonblocking(true);
-                conns.accepted.inc();
-                // Round-robin connections across I/O threads.
-                let _ = senders[next % senders.len()].send(stream);
-                next += 1;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_micros(500));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-}
-
-/// The reactor acceptor: block on listener readiness, then accept until
-/// `WouldBlock` (edge-triggered), waking the receiving I/O thread's
-/// reactor for each handed-off connection.
-fn accept_loop_reactor(
-    reactor: Arc<Reactor>,
-    listener: TcpListener,
-    senders: Vec<Sender<TcpStream>>,
-    io_wakers: Vec<Arc<Reactor>>,
-    shutdown: Arc<AtomicBool>,
-    conns: ConnMetrics,
-) {
-    use std::os::unix::io::AsRawFd;
-    if reactor
-        .register(listener.as_raw_fd(), Token(0), Interest::READABLE)
-        .is_err()
-    {
-        // Registration can only fail on fd exhaustion; fall back to the
-        // polling acceptor rather than serving nothing.
-        return accept_loop_polling(listener, senders, shutdown, conns);
-    }
-    let mut events = Vec::new();
-    let mut next = 0usize;
-    while !shutdown.load(Ordering::SeqCst) {
-        let _ = reactor.poll(&mut events, None);
-        if shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nodelay(true);
-                    let _ = stream.set_nonblocking(true);
-                    conns.accepted.inc();
-                    let t = next % senders.len();
-                    next += 1;
-                    if senders[t].send(stream).is_ok() {
-                        io_wakers[t].wake();
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                // Transient accept errors (EMFILE under fd pressure,
-                // aborted handshakes): yield briefly and re-poll.
-                Err(_) => {
-                    std::thread::sleep(Duration::from_millis(5));
-                    break;
-                }
-            }
-        }
+        let serving = ConnLoop::serve(
+            LoopSpec {
+                listen: &config.listen,
+                ns: "rpc",
+                io_threads: config.io_threads,
+                max_frame: config.max_frame,
+            },
+            &metrics,
+            move || RpcConn::new(Arc::clone(&control), latency.clone()),
+        )?;
+        Ok(RpcServerHandle { serving })
     }
 }
 
@@ -753,435 +461,35 @@ fn accept_loop_reactor(
 /// `rpc.latency.timings_dropped`).
 const MAX_INFLIGHT_TIMINGS: usize = 1024;
 
-/// Outbound-buffer budget per connection under the reactor driver.  A
-/// reply queue growing past this means the client has stopped reading
-/// (the kernel socket buffer is already full underneath it): the
-/// connection is dropped and counted in `rpc.conns.dropped_slow_reader`.
-/// Must exceed [`MAX_FRAME_BYTES`] so one maximum-size reply can always
-/// be queued.
-pub const OUTBOUND_BUDGET_BYTES: usize = 2 * MAX_FRAME_BYTES;
-
-/// Most 64 KiB read chunks one connection may drain per service pass.
-/// Bounds how long a single firehose connection can hold the I/O thread
-/// inside `drain_socket`; `read_pending` carries the rest to the next
-/// pass.
-const DRAIN_CHUNKS_PER_PASS: usize = 8;
-
-/// Most frames one connection may have handled per service pass.  A
-/// connection that buffers thousands of tiny requests (a metrics
-/// flooder, say) would otherwise monopolize the thread for the whole
-/// backlog while siblings wait; `frames_pending` keeps it on the active
-/// list so the backlog drains round-robin instead.
-const FRAMES_PER_PASS: usize = 256;
-
-/// Decoder-backlog ceiling: stop reading a socket whose buffered input
-/// already exceeds this *and* holds at least one decodable frame.  Flow
-/// control then happens in the kernel (the peer's writes block) instead
-/// of in our memory.  The decodable-frame condition matters: a single
-/// legitimate frame may be far larger than this ceiling, and gating on
-/// raw bytes alone would stop reading mid-frame — a frame that can then
-/// never complete (the backlog *is* the partial frame), wedging the
-/// connection until the peer's write budget kills it.
-const INPUT_BACKLOG_BYTES: usize = 1024 * 1024;
-
-/// One TCP connection being served.
-struct ServedConn {
-    stream: TcpStream,
-    decoder: FrameDecoder,
+/// The front end's per-connection handler.
+struct RpcConn {
+    control: Arc<dyn ClusterControl>,
     /// Bound by the HELLO frame; `None` on pure control connections.
     link: Option<Box<dyn KvLink>>,
     /// Bound by the MIG_HELLO frame; `None` unless this is a dedicated
     /// migration connection from a peer serving process.
     mig: Option<Box<dyn MigrationLink<MigrationMsg>>>,
-    eof: bool,
-    dead: bool,
-    /// The connection was dropped for exhausting its outbound budget
-    /// (reactor) or stalling a blocking write (polling), not for dying.
-    slow_reader: bool,
-    /// `true` under the reactor driver: `send` queues into `out` and the
-    /// event loop flushes on write-readiness.  `false` under the polling
-    /// driver: `send` retries a blocking write with a 5s budget.
-    buffered: bool,
-    /// Bytes queued toward the socket, flushed on write-readiness.
-    out: VecDeque<u8>,
-    /// Whether the reactor registration currently includes write
-    /// interest (kept in sync with `out` by the event loop).
-    wants_write: bool,
-    /// On the event loop's active-service list (reactor driver).
-    in_active: bool,
-    /// `drain_socket` stopped at its per-pass bound before the socket
-    /// ran dry.  Edge-triggered epoll will not re-announce the leftover
-    /// bytes, so the service loop must retry the drain next pass.
-    read_pending: bool,
-    /// `process_frames` stopped at its per-pass bound with (possibly)
-    /// more complete frames still buffered; keeps the connection on the
-    /// active list until the backlog is gone.
-    frames_pending: bool,
     /// Batches forwarded to the dispatch thread minus replies pumped
     /// back: while nonzero, replies can appear without socket readiness,
     /// so the event loop must keep servicing this connection.
     outstanding: u64,
     /// Serving-path latency histograms shared with the registry.
     lat: ServingLatency,
-    /// Connection gauges/counters shared with the registry.
-    conns: ConnMetrics,
     /// `(seq, arrival, reads, upserts)` for batches forwarded to the
     /// dispatch thread whose replies have not come back yet.
     inflight: VecDeque<(u64, Instant, usize, usize)>,
 }
 
-impl ServedConn {
-    fn new(
-        stream: TcpStream,
-        max_frame: usize,
-        buffered: bool,
-        lat: ServingLatency,
-        conns: ConnMetrics,
-    ) -> Self {
-        ServedConn {
-            stream,
-            decoder: FrameDecoder::new(max_frame),
+impl RpcConn {
+    fn new(control: Arc<dyn ClusterControl>, lat: ServingLatency) -> Self {
+        RpcConn {
+            control,
             link: None,
             mig: None,
-            eof: false,
-            dead: false,
-            slow_reader: false,
-            buffered,
-            out: VecDeque::new(),
-            wants_write: false,
-            in_active: false,
-            read_pending: false,
-            frames_pending: false,
             outstanding: 0,
             lat,
-            conns,
             inflight: VecDeque::new(),
         }
-    }
-
-    fn send(&mut self, msg: &WireMsg) {
-        if self.dead {
-            return;
-        }
-        if self.buffered {
-            // Reactor driver: queue and opportunistically flush; the
-            // event loop finishes the job on write-readiness.  A client
-            // that stops reading exhausts its bounded budget and is
-            // dropped — without ever stalling this I/O thread.
-            self.out.extend(encode_frame(msg));
-            self.flush_out();
-            self.conns.note_outbuf(self.out.len() as u64);
-            if self.out.len() > OUTBOUND_BUDGET_BYTES {
-                self.slow_reader = true;
-                self.dead = true;
-            }
-            return;
-        }
-        // Polling driver (baseline): retry the write for up to 5s.  This
-        // is the behaviour the reactor exists to delete — one slow reader
-        // stalls every connection sharing the thread for the budget.
-        let budget = Duration::from_secs(5);
-        match write_all_nonblocking(&mut self.stream, &encode_frame(msg), budget) {
-            Ok(()) => {}
-            Err(TransportError::Io(detail)) if detail.contains("stalled") => {
-                self.slow_reader = true;
-                self.dead = true;
-            }
-            Err(_) => self.dead = true,
-        }
-    }
-
-    /// Writes buffered output until the socket would block (reactor
-    /// driver; called from `send` and on every write-readiness edge).
-    fn flush_out(&mut self) {
-        while !self.out.is_empty() {
-            let (front, _) = self.out.as_slices();
-            match self.stream.write(front) {
-                Ok(0) => {
-                    self.dead = true;
-                    return;
-                }
-                Ok(n) => {
-                    self.out.drain(..n);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.dead = true;
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Whether traffic can reach this connection without socket
-    /// readiness: replies still owed by a dispatch thread, a migration
-    /// link a peer may push on, buffered output awaiting a flush, or
-    /// input the per-pass bounds deferred to the next pass.  The reactor
-    /// loop keeps polling such connections; everything else sleeps until
-    /// an epoll event.
-    fn expects_async_traffic(&self) -> bool {
-        self.outstanding > 0
-            || self.mig.is_some()
-            || !self.out.is_empty()
-            || self.read_pending
-            || self.frames_pending
-    }
-
-    fn fail(&mut self, status: StatusCode, message: String) {
-        self.send(&WireMsg::CtrlErr { status, message });
-        self.dead = true;
-    }
-
-    /// Reads whatever the socket has without blocking, bounded per pass
-    /// (`DRAIN_CHUNKS_PER_PASS` chunks, and nothing while the decoder
-    /// holds over `INPUT_BACKLOG_BYTES` of already-decodable frames) so
-    /// one firehose cannot hold the I/O thread.  `read_pending` records
-    /// a bound being hit.
-    fn drain_socket(&mut self) {
-        if self.eof {
-            self.read_pending = false;
-            return;
-        }
-        let mut chunk = [0u8; 64 * 1024];
-        let mut chunks = 0usize;
-        loop {
-            let over_backlog =
-                self.decoder.buffered() > INPUT_BACKLOG_BYTES && self.decoder.has_complete_frame();
-            if over_backlog || chunks == DRAIN_CHUNKS_PER_PASS {
-                self.read_pending = true;
-                return;
-            }
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    self.eof = true;
-                    break;
-                }
-                Ok(n) => {
-                    self.decoder.extend(&chunk[..n]);
-                    chunks += 1;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.eof = true;
-                    break;
-                }
-            }
-        }
-        self.read_pending = false;
-    }
-
-    /// Decodes and handles buffered frames, at most `FRAMES_PER_PASS`
-    /// per call so a backlogged connection shares the thread fairly
-    /// (`frames_pending` flags leftover work).  Returns `true` if any
-    /// frame was handled.
-    fn process_frames(&mut self, control: &Arc<dyn ClusterControl>) -> bool {
-        let mut progressed = false;
-        let mut handled = 0usize;
-        self.frames_pending = false;
-        while !self.dead {
-            if handled == FRAMES_PER_PASS {
-                self.frames_pending = true;
-                break;
-            }
-            let msg = match self.decoder.next_msg() {
-                Ok(Some(msg)) => msg,
-                Ok(None) => break,
-                Err(e) => {
-                    self.fail(e.status_code(), e.to_string());
-                    break;
-                }
-            };
-            progressed = true;
-            handled += 1;
-            match msg {
-                WireMsg::Hello { fabric_addr } => match control.connect_fabric(&fabric_addr) {
-                    Ok(link) => self.link = Some(link),
-                    Err(e) => self.fail(e.status_code(), e.to_string()),
-                },
-                WireMsg::Batch(batch) => match &self.link {
-                    Some(link) => {
-                        let mut reads = 0usize;
-                        let mut upserts = 0usize;
-                        for op in &batch.ops {
-                            match op {
-                                KvRequest::Read { .. } => reads += 1,
-                                _ => upserts += 1,
-                            }
-                        }
-                        if self.inflight.len() >= MAX_INFLIGHT_TIMINGS {
-                            // The shed entry's eventual reply will go
-                            // unmeasured; count it so the histograms'
-                            // under-sampling is visible.
-                            self.inflight.pop_front();
-                            self.lat.timings_dropped.inc();
-                        }
-                        self.inflight
-                            .push_back((batch.seq, Instant::now(), reads, upserts));
-                        match link.send_batch(batch) {
-                            Ok(()) => self.outstanding += 1,
-                            Err(e) => self.fail(e.status_code(), e.to_string()),
-                        }
-                    }
-                    None => self.fail(
-                        StatusCode::Malformed,
-                        "BATCH frame before HELLO bound this connection".to_string(),
-                    ),
-                },
-                WireMsg::MigHello { server, thread } => {
-                    match control.connect_migration_local(server, thread) {
-                        Ok(link) => self.mig = Some(link),
-                        Err(e) => self.fail(e.status_code(), e.to_string()),
-                    }
-                }
-                WireMsg::Migration(msg) => match &self.mig {
-                    Some(link) => {
-                        if let Err(e) = link.send_msg(msg) {
-                            self.fail(e.error.status_code(), e.error.to_string());
-                        }
-                    }
-                    None => self.fail(
-                        StatusCode::Malformed,
-                        "MIGRATION frame before MIG_HELLO bound this connection".to_string(),
-                    ),
-                },
-                WireMsg::MigrationStatus { migration_id } => {
-                    let start = Instant::now();
-                    let result = control.migration_status(migration_id);
-                    self.lat.migrate_ctrl.record(start.elapsed());
-                    match result {
-                        Ok(state) => self.send(&WireMsg::MigrationState(state)),
-                        Err(msg) => self.send(&WireMsg::CtrlErr {
-                            status: StatusCode::ControlFailed,
-                            message: msg,
-                        }),
-                    }
-                }
-                WireMsg::CancelMigration { migration_id } => {
-                    // Like Migrate: treat a panic below as a failed control
-                    // operation, never as a downed I/O thread.  A migration
-                    // whose source lives in another process is relayed
-                    // there (that process drives the rollback); if the
-                    // relay fails the cancellation still lands in the
-                    // local replica, and the coordinator retries the relay
-                    // until the peer's acked epoch converges.
-                    let start = Instant::now();
-                    let relayed = control
-                        .remote_addr_for_migration(migration_id)
-                        .map(|addr| relay_cancel(control, &addr, migration_id));
-                    let result = match relayed {
-                        Some(Ok(())) => Ok(()),
-                        _ => std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            control.cancel_migration(migration_id)
-                        }))
-                        .unwrap_or_else(|_| Err("migration cancellation panicked".to_string())),
-                    };
-                    self.lat.migrate_ctrl.record(start.elapsed());
-                    match result {
-                        Ok(()) => self.send(&WireMsg::CtrlOk {
-                            value: migration_id,
-                        }),
-                        Err(msg) => self.send(&WireMsg::CtrlErr {
-                            status: StatusCode::ControlFailed,
-                            message: msg,
-                        }),
-                    }
-                }
-                WireMsg::GetCancelStats => {
-                    let stats = control.cancel_stats();
-                    self.send(&WireMsg::CancelStats(stats));
-                }
-                WireMsg::FetchChain(query) => {
-                    let start = Instant::now();
-                    let result = control.fetch_chain(&query);
-                    self.lat.chain_fetch.record(start.elapsed());
-                    match result {
-                        Ok(reply) => self.send(&WireMsg::ChainRecords(reply)),
-                        // A rejection is a protocol-level answer, not a
-                        // framing violation: report the typed status and
-                        // keep the connection alive for further fetches.
-                        Err((status, message)) => self.send(&WireMsg::CtrlErr { status, message }),
-                    }
-                }
-                WireMsg::GetTierStats => {
-                    let stats = control.tier_stats();
-                    self.send(&WireMsg::TierStats(stats));
-                }
-                WireMsg::GetMetrics => {
-                    let snap = control.metrics().snapshot();
-                    self.send(&WireMsg::Metrics(snap));
-                }
-                WireMsg::GetMetricsNs { prefix } => {
-                    let snap = control.metrics().snapshot().filtered(&prefix);
-                    self.send(&WireMsg::Metrics(snap));
-                }
-                WireMsg::GetMetaReplica => {
-                    let replica = control.meta_replica();
-                    self.send(&WireMsg::MetaReplicaMsg(replica));
-                }
-                WireMsg::MetaMerge(replica) => {
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        control.merge_meta(&replica)
-                    }));
-                    match result {
-                        Ok((epoch, changed)) => self.send(&WireMsg::MetaAck { epoch, changed }),
-                        Err(_) => self.send(&WireMsg::CtrlErr {
-                            status: StatusCode::ControlFailed,
-                            message: "metadata merge panicked".to_string(),
-                        }),
-                    }
-                }
-                WireMsg::GetBrokerStatus => {
-                    self.send(&WireMsg::BrokerStatus(control.broker_status()));
-                }
-                WireMsg::GetOwnership => {
-                    let own = control.ownership();
-                    self.send(&WireMsg::Ownership(own));
-                }
-                WireMsg::Migrate {
-                    source,
-                    target,
-                    fraction,
-                } => {
-                    // Validate wire input before it reaches cluster code
-                    // whose invariants are enforced with asserts, and treat
-                    // any panic below as a failed control operation: one bad
-                    // request must never take an I/O thread down.
-                    let start = Instant::now();
-                    let result = if !(0.0..=1.0).contains(&fraction) {
-                        Err(format!("fraction {fraction} is outside [0, 1]"))
-                    } else if source == target {
-                        Err(format!("source and target are both server {source}"))
-                    } else if let Some(addr) = control.remote_source_addr(source) {
-                        // The source server lives in another process: any
-                        // process can originate the migration, but the
-                        // hosting process drives it, so relay and merge
-                        // its replica back.
-                        relay_migrate(control, &addr, source, target, fraction)
-                    } else {
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            control.migrate(source, target, fraction)
-                        }))
-                        .unwrap_or_else(|_| Err("migration setup panicked".to_string()))
-                    };
-                    self.lat.migrate_ctrl.record(start.elapsed());
-                    match result {
-                        Ok(id) => self.send(&WireMsg::CtrlOk { value: id }),
-                        Err(msg) => self.send(&WireMsg::CtrlErr {
-                            status: StatusCode::ControlFailed,
-                            message: msg,
-                        }),
-                    }
-                }
-                WireMsg::Ping(token) => self.send(&WireMsg::Pong(token)),
-                other => self.fail(
-                    StatusCode::Malformed,
-                    format!("unexpected frame from a client: {other:?}"),
-                ),
-            }
-        }
-        progressed
     }
 
     /// Attributes the serving-path latency of the batch answered by `seq`
@@ -1199,23 +507,196 @@ impl ServedConn {
             }
         }
     }
+}
+
+impl Handler for RpcConn {
+    fn on_frame(&mut self, msg: WireMsg, out: &mut Outbound) {
+        let control = &self.control;
+        match msg {
+            WireMsg::Hello { fabric_addr } => match control.connect_fabric(&fabric_addr) {
+                Ok(link) => self.link = Some(link),
+                Err(e) => out.fail(e.status_code(), e.to_string()),
+            },
+            WireMsg::Batch(batch) => match &self.link {
+                Some(link) => {
+                    let mut reads = 0usize;
+                    let mut upserts = 0usize;
+                    for op in &batch.ops {
+                        match op {
+                            KvRequest::Read { .. } => reads += 1,
+                            _ => upserts += 1,
+                        }
+                    }
+                    if self.inflight.len() >= MAX_INFLIGHT_TIMINGS {
+                        // The shed entry's eventual reply will go
+                        // unmeasured; count it so the histograms'
+                        // under-sampling is visible.
+                        self.inflight.pop_front();
+                        self.lat.timings_dropped.inc();
+                    }
+                    self.inflight
+                        .push_back((batch.seq, Instant::now(), reads, upserts));
+                    match link.send_batch(batch) {
+                        Ok(()) => self.outstanding += 1,
+                        Err(e) => out.fail(e.status_code(), e.to_string()),
+                    }
+                }
+                None => out.fail(
+                    StatusCode::Malformed,
+                    "BATCH frame before HELLO bound this connection".to_string(),
+                ),
+            },
+            WireMsg::MigHello { server, thread } => {
+                match control.connect_migration_local(server, thread) {
+                    Ok(link) => self.mig = Some(link),
+                    Err(e) => out.fail(e.status_code(), e.to_string()),
+                }
+            }
+            WireMsg::Migration(msg) => match &self.mig {
+                Some(link) => {
+                    if let Err(e) = link.send_msg(msg) {
+                        out.fail(e.error.status_code(), e.error.to_string());
+                    }
+                }
+                None => out.fail(
+                    StatusCode::Malformed,
+                    "MIGRATION frame before MIG_HELLO bound this connection".to_string(),
+                ),
+            },
+            WireMsg::MigrationStatus { migration_id } => {
+                let start = Instant::now();
+                let result = control.migration_status(migration_id);
+                self.lat.migrate_ctrl.record(start.elapsed());
+                match result {
+                    Ok(state) => out.send(&WireMsg::MigrationState(state)),
+                    Err(msg) => out.send(&WireMsg::CtrlErr {
+                        status: StatusCode::ControlFailed,
+                        message: msg,
+                    }),
+                }
+            }
+            WireMsg::CancelMigration { migration_id } => {
+                // Like Migrate: treat a panic below as a failed control
+                // operation, never as a downed I/O thread.  A migration
+                // whose source lives in another process is relayed there
+                // (that process drives the rollback); if the relay fails
+                // the cancellation still lands in the local replica, and
+                // the coordinator retries the relay until the peer's
+                // acked epoch converges.
+                let start = Instant::now();
+                let relayed = control
+                    .remote_addr_for_migration(migration_id)
+                    .map(|addr| relay_cancel(control, &addr, migration_id));
+                let result = match relayed {
+                    Some(Ok(())) => Ok(()),
+                    _ => std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        control.cancel_migration(migration_id)
+                    }))
+                    .unwrap_or_else(|_| Err("migration cancellation panicked".to_string())),
+                };
+                self.lat.migrate_ctrl.record(start.elapsed());
+                match result {
+                    Ok(()) => out.send(&WireMsg::CtrlOk {
+                        value: migration_id,
+                    }),
+                    Err(msg) => out.send(&WireMsg::CtrlErr {
+                        status: StatusCode::ControlFailed,
+                        message: msg,
+                    }),
+                }
+            }
+            WireMsg::FetchChain(query) => {
+                let start = Instant::now();
+                let result = control.fetch_chain(&query);
+                self.lat.chain_fetch.record(start.elapsed());
+                match result {
+                    Ok(reply) => out.send(&WireMsg::ChainRecords(reply)),
+                    // A rejection is a protocol-level answer, not a
+                    // framing violation: report the typed status and keep
+                    // the connection alive for further fetches.
+                    Err((status, message)) => out.send(&WireMsg::CtrlErr { status, message }),
+                }
+            }
+            WireMsg::GetMetrics => out.send(&WireMsg::Metrics(control.metrics().snapshot())),
+            WireMsg::GetMetricsNs { prefix } => {
+                let snap = control.metrics().snapshot().filtered(&prefix);
+                out.send(&WireMsg::Metrics(snap));
+            }
+            WireMsg::GetMetaReplica => out.send(&WireMsg::MetaReplicaMsg(control.meta_replica())),
+            WireMsg::MetaMerge(replica) => {
+                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    control.merge_meta(&replica)
+                }));
+                match result {
+                    Ok((epoch, changed)) => out.send(&WireMsg::MetaAck { epoch, changed }),
+                    Err(_) => out.send(&WireMsg::CtrlErr {
+                        status: StatusCode::ControlFailed,
+                        message: "metadata merge panicked".to_string(),
+                    }),
+                }
+            }
+            WireMsg::GetBrokerStatus => out.send(&WireMsg::BrokerStatus(control.broker_status())),
+            WireMsg::GetOwnership => out.send(&WireMsg::Ownership(control.ownership())),
+            WireMsg::Migrate {
+                source,
+                target,
+                fraction,
+            } => {
+                // Validate wire input before it reaches cluster code whose
+                // invariants are enforced with asserts, and treat any
+                // panic below as a failed control operation: one bad
+                // request must never take an I/O thread down.
+                let start = Instant::now();
+                let result = if !(0.0..=1.0).contains(&fraction) {
+                    Err(format!("fraction {fraction} is outside [0, 1]"))
+                } else if source == target {
+                    Err(format!("source and target are both server {source}"))
+                } else if let Some(addr) = control.remote_source_addr(source) {
+                    // The source server lives in another process: any
+                    // process can originate the migration, but the hosting
+                    // process drives it, so relay and merge its replica
+                    // back.
+                    relay_migrate(control, &addr, source, target, fraction)
+                } else {
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        control.migrate(source, target, fraction)
+                    }))
+                    .unwrap_or_else(|_| Err("migration setup panicked".to_string()))
+                };
+                self.lat.migrate_ctrl.record(start.elapsed());
+                match result {
+                    Ok(id) => out.send(&WireMsg::CtrlOk { value: id }),
+                    Err(msg) => out.send(&WireMsg::CtrlErr {
+                        status: StatusCode::ControlFailed,
+                        message: msg,
+                    }),
+                }
+            }
+            WireMsg::Ping(token) => out.send(&WireMsg::Pong(token)),
+            other => out.fail(
+                StatusCode::Malformed,
+                format!("unexpected frame from a client: {other:?}"),
+            ),
+        }
+    }
 
     /// Forwards replies (and migration messages) from the dispatch thread
-    /// back onto the socket.  Returns `true` if anything moved.
-    fn pump_replies(&mut self) -> bool {
-        let mut out: Vec<WireMsg> = Vec::new();
+    /// back onto the socket.
+    fn pump(&mut self, out: &mut Outbound) -> bool {
+        let mut msgs: Vec<WireMsg> = Vec::new();
         let mut answered: Vec<u64> = Vec::new();
+        let mut gone = false;
         if let Some(link) = &self.link {
             loop {
                 match link.try_recv_reply() {
                     Ok(Some(reply)) => {
                         answered.push(reply.seq());
-                        out.push(WireMsg::Reply(reply));
+                        msgs.push(WireMsg::Reply(reply));
                     }
                     Ok(None) => break,
                     Err(_) => {
                         // The dispatch thread went away (server shutdown).
-                        self.dead = true;
+                        gone = true;
                         break;
                     }
                 }
@@ -1228,280 +709,25 @@ impl ServedConn {
         if let Some(mig) = &self.mig {
             loop {
                 match mig.try_recv_msg() {
-                    Ok(Some(msg)) => out.push(WireMsg::Migration(msg)),
+                    Ok(Some(msg)) => msgs.push(WireMsg::Migration(msg)),
                     Ok(None) => break,
                     Err(_) => {
-                        self.dead = true;
+                        gone = true;
                         break;
                     }
                 }
             }
         }
-        let progressed = !out.is_empty();
-        for msg in out {
-            self.send(&msg);
-            if self.dead {
-                break;
-            }
+        for msg in &msgs {
+            out.send(msg);
         }
-        progressed
+        if gone {
+            out.close();
+        }
+        !msgs.is_empty()
     }
-}
 
-/// The polling I/O loop (baseline): busy-scan every connection, sleeping
-/// 200µs when nothing moved.  CPU burn is linear in the number of idle
-/// connections — the property the reactor driver deletes.
-fn io_thread_polling(
-    rx: Receiver<TcpStream>,
-    control: Arc<dyn ClusterControl>,
-    shutdown: Arc<AtomicBool>,
-    max_frame: usize,
-    latency: ServingLatency,
-    conn_metrics: ConnMetrics,
-) {
-    let mut conns: Vec<ServedConn> = Vec::new();
-    while !shutdown.load(Ordering::SeqCst) {
-        let mut did_work = false;
-
-        while let Ok(stream) = rx.try_recv() {
-            did_work = true;
-            conn_metrics.open.add(1);
-            conns.push(ServedConn::new(
-                stream,
-                max_frame,
-                false,
-                latency.clone(),
-                conn_metrics.clone(),
-            ));
-        }
-
-        for conn in conns.iter_mut() {
-            conn.drain_socket();
-            did_work |= conn.process_frames(&control);
-            did_work |= conn.pump_replies();
-            if conn.eof && !conn.frames_pending {
-                // The client hung up and the per-pass frame bound has
-                // caught up with its backlog: a partial frame can never
-                // complete, and any replies still in flight on the
-                // fabric have nowhere to go.
-                conn.dead = true;
-            }
-        }
-        conns.retain(|c| {
-            if c.dead {
-                conn_metrics.open.sub(1);
-                if c.slow_reader {
-                    conn_metrics.dropped_slow_reader.inc();
-                } else {
-                    conn_metrics.dropped_dead.inc();
-                }
-            }
-            !c.dead
-        });
-
-        if !did_work {
-            std::thread::sleep(Duration::from_micros(200));
-        }
-    }
-}
-
-/// How many zero-timeout polls an I/O thread spins through while replies
-/// are outstanding before backing off to 1ms waits.  Dispatch threads
-/// answer in microseconds, so the spin usually catches the reply; the
-/// backoff bounds the burn when one is genuinely slow (a disk-resident
-/// read, a migration pause).
-const ACTIVE_SPIN_BUDGET: u32 = 256;
-
-/// One slot of the reactor loop's connection slab.  The generation is
-/// folded into the epoll token so a readiness event for a closed
-/// connection can never touch the slot's next tenant.
-struct ConnSlot {
-    gen: u32,
-    conn: Option<ServedConn>,
-}
-
-fn slot_token(idx: usize, gen: u32) -> Token {
-    Token(((gen as u64) << 32) | idx as u64)
-}
-
-fn token_slot(token: Token) -> (usize, u32) {
-    ((token.0 & 0xffff_ffff) as usize, (token.0 >> 32) as u32)
-}
-
-/// The reactor I/O loop: readiness-driven serving.
-///
-/// Connections register edge-triggered read interest; the loop services
-/// only connections with something to do (a readiness event, replies owed
-/// by a dispatch thread, buffered output).  With every connection quiet
-/// the thread blocks in `epoll_wait`, so idle connections cost no CPU.
-/// New connections arrive over `rx`, announced by a reactor wake from the
-/// acceptor; shutdown is announced the same way.
-fn io_thread_reactor(
-    reactor: Arc<Reactor>,
-    rx: Receiver<TcpStream>,
-    control: Arc<dyn ClusterControl>,
-    shutdown: Arc<AtomicBool>,
-    max_frame: usize,
-    latency: ServingLatency,
-    conn_metrics: ConnMetrics,
-) {
-    use std::os::unix::io::AsRawFd;
-
-    let mut slots: Vec<ConnSlot> = Vec::new();
-    let mut free: Vec<usize> = Vec::new();
-    // Indices of connections needing service this iteration (readiness
-    // event, outstanding replies, buffered output).  Keeping this list
-    // explicit is what makes the loop O(active), not O(connections).
-    let mut active: Vec<usize> = Vec::new();
-    let mut events = Vec::new();
-    let mut did_work = true;
-    let mut idle_spins = 0u32;
-
-    while !shutdown.load(Ordering::SeqCst) {
-        let timeout = if did_work {
-            idle_spins = 0;
-            Some(Duration::ZERO)
-        } else if !active.is_empty() {
-            // Replies are owed but nothing moved: spin briefly (dispatch
-            // threads answer in µs), then back off to 1ms waits.
-            idle_spins += 1;
-            if idle_spins < ACTIVE_SPIN_BUDGET {
-                Some(Duration::ZERO)
-            } else {
-                Some(Duration::from_millis(1))
-            }
-        } else {
-            // Every connection is quiet: block until an epoll event or an
-            // acceptor/shutdown wake.  This is the idle-connection win.
-            idle_spins = 0;
-            None
-        };
-        let _ = reactor.poll(&mut events, timeout);
-        if shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        did_work = false;
-
-        // Adopt connections handed over by the acceptor.
-        while let Ok(stream) = rx.try_recv() {
-            did_work = true;
-            let idx = free.pop().unwrap_or_else(|| {
-                slots.push(ConnSlot { gen: 0, conn: None });
-                slots.len() - 1
-            });
-            let token = slot_token(idx, slots[idx].gen);
-            let conn = ServedConn::new(
-                stream,
-                max_frame,
-                true,
-                latency.clone(),
-                conn_metrics.clone(),
-            );
-            match reactor.register(conn.stream.as_raw_fd(), token, Interest::READABLE) {
-                Ok(()) => {
-                    conn_metrics.open.add(1);
-                    let mut conn = conn;
-                    conn.in_active = true;
-                    slots[idx].conn = Some(conn);
-                    active.push(idx);
-                }
-                Err(_) => {
-                    // Registration fails only under fd exhaustion; drop
-                    // the connection rather than the thread.
-                    conn_metrics.dropped_dead.inc();
-                    free.push(idx);
-                }
-            }
-        }
-
-        // Apply readiness transitions.
-        for ev in &events {
-            let (idx, gen) = token_slot(ev.token);
-            let Some(slot) = slots.get_mut(idx) else {
-                continue;
-            };
-            if slot.gen != gen {
-                continue; // stale event for a previous tenant
-            }
-            let Some(conn) = slot.conn.as_mut() else {
-                continue;
-            };
-            if ev.readable {
-                conn.drain_socket();
-            }
-            if ev.writable {
-                conn.flush_out();
-            }
-            if ev.error {
-                conn.eof = true;
-            }
-            if !conn.in_active {
-                conn.in_active = true;
-                active.push(idx);
-            }
-        }
-
-        // Service the active set.
-        let mut i = 0;
-        while i < active.len() {
-            let idx = active[i];
-            let gen = slots[idx].gen;
-            let Some(conn) = slots[idx].conn.as_mut() else {
-                active.swap_remove(i);
-                continue;
-            };
-            if conn.read_pending {
-                // A per-pass bound stopped the last drain before the
-                // socket ran dry; edge-triggered epoll will not fire
-                // again for those bytes, so retry here.
-                conn.drain_socket();
-            }
-            let progressed = conn.process_frames(&control) | conn.pump_replies();
-            did_work |= progressed;
-            conn.flush_out();
-            if conn.eof && !conn.frames_pending && conn.out.is_empty() {
-                // The client hung up and nothing is left to flush toward
-                // it: replies still in flight have nowhere to go.
-                conn.dead = true;
-            }
-            if conn.dead {
-                let _ = reactor.deregister(conn.stream.as_raw_fd());
-                conn_metrics.open.sub(1);
-                if conn.slow_reader {
-                    conn_metrics.dropped_slow_reader.inc();
-                } else {
-                    conn_metrics.dropped_dead.inc();
-                }
-                slots[idx].conn = None;
-                slots[idx].gen = slots[idx].gen.wrapping_add(1);
-                free.push(idx);
-                active.swap_remove(i);
-                continue;
-            }
-            // Keep the epoll write interest in sync with buffered output.
-            let want = !conn.out.is_empty();
-            if want != conn.wants_write {
-                conn.wants_write = want;
-                let interest = if want {
-                    Interest::READABLE_WRITABLE
-                } else {
-                    Interest::READABLE
-                };
-                let token = slot_token(idx, gen);
-                let fd = conn.stream.as_raw_fd();
-                if reactor.reregister(fd, token, interest).is_err() {
-                    conn.dead = true;
-                    // Handled on the next service pass (stays active).
-                    i += 1;
-                    continue;
-                }
-            }
-            if conn.expects_async_traffic() {
-                i += 1;
-            } else {
-                conn.in_active = false;
-                active.swap_remove(i);
-            }
-        }
+    fn owes_traffic(&self) -> bool {
+        self.outstanding > 0 || self.mig.is_some()
     }
 }

@@ -24,22 +24,17 @@
 //! extents ([`WireMsg::GetTierStatus`]), and answers the standard metrics
 //! frames from its own `tierd.*` registry.
 
-use std::collections::{HashMap, VecDeque};
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::collections::HashMap;
+use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 
-use shadowfax_net::{Interest, Reactor, StatusCode, Token};
+use shadowfax_net::StatusCode;
 use shadowfax_obs::MetricsRegistry;
 use shadowfax_storage::{LogId, SharedBlobTier};
 
-use crate::codec::{
-    encode_frame, FrameDecoder, WireMsg, WireTierLog, WireTierStatus, MAX_FRAME_BYTES,
-};
-use crate::server::OUTBOUND_BUDGET_BYTES;
+use crate::codec::{WireMsg, WireTierLog, WireTierStatus, MAX_FRAME_BYTES};
+use crate::connloop::{ConnLoop, Handler, LoopSpec, Outbound};
 
 /// Hard cap on one [`WireMsg::TierRead`]'s length: well under
 /// [`MAX_FRAME_BYTES`] so a reply frame can never exceed the codec limit.
@@ -68,7 +63,7 @@ struct LeaseEntry {
     holder: u64,
 }
 
-/// Everything the connection threads share.
+/// Everything the daemon's connections share.
 struct TierState {
     tier: Arc<SharedBlobTier>,
     leases: Mutex<HashMap<u64, LeaseEntry>>,
@@ -228,14 +223,20 @@ impl TierState {
     }
 }
 
+/// Every connection's handler is the shared state itself: a frame in,
+/// [`TierState::answer`] out.
+impl Handler for Arc<TierState> {
+    fn on_frame(&mut self, msg: WireMsg, out: &mut Outbound) {
+        out.send(&self.answer(msg));
+    }
+}
+
 /// Handle to a running tier daemon; call [`TierDaemonHandle::shutdown`] to
 /// stop it (dropping the handle does not).
 pub struct TierDaemonHandle {
     local_addr: SocketAddr,
     state: Arc<TierState>,
-    stop: Arc<AtomicBool>,
-    reactor: Arc<Reactor>,
-    loop_thread: Mutex<Option<JoinHandle<()>>>,
+    serving: Mutex<ConnLoop>,
 }
 
 impl TierDaemonHandle {
@@ -253,14 +254,10 @@ impl TierDaemonHandle {
         }
     }
 
-    /// Stops the event loop (waking it out of `epoll_wait`) and joins it;
-    /// every connection closes with the loop.
+    /// Stops the connection loop (waking it out of `epoll_wait`) and joins
+    /// its threads; every connection closes with the loop.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.reactor.wake();
-        if let Some(thread) = self.loop_thread.lock().expect("tier loop thread").take() {
-            let _ = thread.join();
-        }
+        self.serving.lock().expect("tier connection loop").stop();
     }
 }
 
@@ -268,225 +265,31 @@ impl TierDaemonHandle {
 pub struct TierDaemon;
 
 impl TierDaemon {
-    /// Binds `config.listen` and starts the event loop.
+    /// Binds `config.listen` and starts serving.
     ///
-    /// The daemon runs a single reactor thread — the same event-loop
-    /// implementation the RPC server's I/O threads use — instead of a
-    /// thread per connection: the listener and every connection register
-    /// edge-triggered interest with one epoll instance, so an idle daemon
-    /// (even with thousands of mirroring connections parked on it) costs
-    /// no CPU.
+    /// The daemon runs the same connection loop as the RPC server, with
+    /// one I/O thread: every connection registers edge-triggered interest
+    /// with one epoll instance, so an idle daemon (even with thousands of
+    /// mirroring connections parked on it) costs no CPU.  Connection
+    /// accounting lands in `tierd.conns.*`.
     pub fn serve(config: TierDaemonConfig) -> std::io::Result<Arc<TierDaemonHandle>> {
-        let listener = TcpListener::bind(&config.listen)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
         let state = TierState::new(config.per_log_capacity);
-        let stop = Arc::new(AtomicBool::new(false));
-        let reactor = Arc::new(Reactor::new()?);
-        reactor.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READABLE)?;
-        let loop_thread = {
-            let state = Arc::clone(&state);
-            let stop = Arc::clone(&stop);
-            let reactor = Arc::clone(&reactor);
-            std::thread::Builder::new()
-                .name("shadowfax-tier-loop".into())
-                .spawn(move || event_loop(reactor, listener, state, stop))
-                .expect("spawn tier event loop")
-        };
+        let handler = Arc::clone(&state);
+        let serving = ConnLoop::serve(
+            LoopSpec {
+                listen: &config.listen,
+                ns: "tierd",
+                io_threads: 1,
+                max_frame: MAX_FRAME_BYTES,
+            },
+            &state.metrics,
+            move || Arc::clone(&handler),
+        )?;
         Ok(Arc::new(TierDaemonHandle {
-            local_addr,
+            local_addr: serving.local_addr(),
             state,
-            stop,
-            reactor,
-            loop_thread: Mutex::new(Some(loop_thread)),
+            serving: Mutex::new(serving),
         }))
-    }
-}
-
-/// The listener's fixed epoll token.  Connection tokens encode a slab
-/// index in their low 32 bits, so any value with high bits set (short of
-/// the reactor's reserved wakeup token) cannot collide.
-const LISTENER_TOKEN: Token = Token(u64::MAX - 1);
-
-/// One connection's state in the event loop.
-struct TierConn {
-    stream: TcpStream,
-    decoder: FrameDecoder,
-    /// Encoded reply bytes not yet accepted by the socket.
-    out: VecDeque<u8>,
-    /// Write interest currently registered with the reactor.
-    wants_write: bool,
-    /// The peer sent garbage: flush the typed error reply, then close
-    /// (the decoder cannot resynchronise).
-    closing: bool,
-    /// The peer hung up or the socket failed.
-    eof: bool,
-}
-
-impl TierConn {
-    /// Reads until `WouldBlock` (edge-triggered contract), answering every
-    /// complete frame into the outbound buffer.
-    fn drain_and_answer(&mut self, state: &TierState) {
-        let mut chunk = [0u8; 64 * 1024];
-        loop {
-            if !self.closing {
-                loop {
-                    match self.decoder.next_msg() {
-                        Ok(Some(msg)) => {
-                            let reply = state.answer(msg);
-                            self.out.extend(encode_frame(&reply));
-                        }
-                        Ok(None) => break,
-                        Err(e) => {
-                            self.out.extend(encode_frame(&WireMsg::CtrlErr {
-                                status: e.status_code(),
-                                message: e.to_string(),
-                            }));
-                            self.closing = true;
-                            break;
-                        }
-                    }
-                }
-            }
-            if self.out.len() > OUTBOUND_BUDGET_BYTES {
-                // The peer is not reading its replies; drop it rather than
-                // buffer without bound.
-                self.eof = true;
-                return;
-            }
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    self.eof = true;
-                    return;
-                }
-                Ok(n) => self.decoder.extend(&chunk[..n]),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.eof = true;
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Writes buffered replies until empty or `WouldBlock`.
-    fn flush_out(&mut self) {
-        while !self.out.is_empty() {
-            let (front, _) = self.out.as_slices();
-            match self.stream.write(front) {
-                Ok(0) => {
-                    self.eof = true;
-                    return;
-                }
-                Ok(n) => {
-                    self.out.drain(..n);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.eof = true;
-                    return;
-                }
-            }
-        }
-    }
-
-    fn done(&self) -> bool {
-        self.eof || (self.closing && self.out.is_empty())
-    }
-}
-
-/// The daemon's single event loop: accept, read, answer, flush — all
-/// readiness-driven.
-fn event_loop(
-    reactor: Arc<Reactor>,
-    listener: TcpListener,
-    state: Arc<TierState>,
-    stop: Arc<AtomicBool>,
-) {
-    let mut conns: HashMap<u64, TierConn> = HashMap::new();
-    let mut next_token = 0u64;
-    let mut events = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        let _ = reactor.poll(&mut events, None);
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        for ev in &events {
-            if ev.token == LISTENER_TOKEN {
-                // Edge-triggered: accept until the backlog is empty.
-                loop {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let _ = stream.set_nodelay(true);
-                            if stream.set_nonblocking(true).is_err() {
-                                continue;
-                            }
-                            let token = Token(next_token);
-                            next_token += 1;
-                            if reactor
-                                .register(stream.as_raw_fd(), token, Interest::READABLE)
-                                .is_ok()
-                            {
-                                conns.insert(
-                                    token.0,
-                                    TierConn {
-                                        stream,
-                                        decoder: FrameDecoder::new(MAX_FRAME_BYTES),
-                                        out: VecDeque::new(),
-                                        wants_write: false,
-                                        closing: false,
-                                        eof: false,
-                                    },
-                                );
-                            }
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                        Err(_) => break,
-                    }
-                }
-                continue;
-            }
-            let Some(conn) = conns.get_mut(&ev.token.0) else {
-                continue;
-            };
-            if ev.readable {
-                conn.drain_and_answer(&state);
-            }
-            if ev.writable {
-                conn.flush_out();
-            }
-            if ev.error {
-                conn.eof = true;
-            }
-            if !conn.eof {
-                conn.flush_out();
-            }
-            if conn.done() {
-                let _ = reactor.deregister(conn.stream.as_raw_fd());
-                conns.remove(&ev.token.0);
-                continue;
-            }
-            // Keep write interest in sync with buffered output.
-            let want = !conn.out.is_empty();
-            if want != conn.wants_write {
-                conn.wants_write = want;
-                let interest = if want {
-                    Interest::READABLE_WRITABLE
-                } else {
-                    Interest::READABLE
-                };
-                if reactor
-                    .reregister(conn.stream.as_raw_fd(), ev.token, interest)
-                    .is_err()
-                {
-                    let _ = reactor.deregister(conn.stream.as_raw_fd());
-                    conns.remove(&ev.token.0);
-                }
-            }
-        }
     }
 }
 

@@ -30,8 +30,8 @@ use shadowfax_net::{BatchReply, KvRequest, KvResponse, RequestBatch, StatusCode}
 use shadowfax_obs::{HistogramSnapshot, MetricsSnapshot, TimelineEvent};
 use shadowfax_rpc::{
     decode_frame, encode_frame, CodecError, FrameDecoder, WireBrokerPeer, WireBrokerStatus,
-    WireCancelStats, WireMetaReplica, WireMigrationDep, WireMigrationState, WireMsg, WireOwnership,
-    WireServerInfo, WireTierLog, WireTierStats, WireTierStatus, MAX_FRAME_BYTES,
+    WireMetaReplica, WireMigrationDep, WireMigrationState, WireMsg, WireOwnership, WireServerInfo,
+    WireTierLog, WireTierStatus, MAX_FRAME_BYTES,
 };
 use shadowfax_storage::TierRecord;
 
@@ -354,12 +354,6 @@ fn random_messages(rng: &mut StdRng) -> Vec<WireMsg> {
         WireMsg::CancelMigration {
             migration_id: rng.gen(),
         },
-        WireMsg::GetCancelStats,
-        WireMsg::CancelStats(WireCancelStats {
-            migrations_cancelled: rng.gen(),
-            records_rolled_back: rng.gen(),
-            heartbeats_missed: rng.gen(),
-        }),
         WireMsg::MigHello {
             server: rng.gen(),
             thread: rng.gen(),
@@ -393,14 +387,6 @@ fn random_messages(rng: &mut StdRng) -> Vec<WireMsg> {
             records: (0..rng.gen_range(0u64..6))
                 .map(|_| random_tier_record(rng))
                 .collect(),
-        }),
-        WireMsg::GetTierStats,
-        WireMsg::TierStats(WireTierStats {
-            served: rng.gen(),
-            records_served: rng.gen(),
-            rejected_stale_view: rng.gen(),
-            rejected_out_of_range: rng.gen(),
-            remote_fetches: rng.gen(),
         }),
         WireMsg::GetMetrics,
         WireMsg::Metrics(random_metrics_snapshot(rng)),
@@ -470,9 +456,10 @@ fn generator_covers_every_wire_kind() {
             kinds.insert(frame[4]);
         }
     }
-    // 36 distinct kind bytes are on the wire today (Executed/Rejected share
+    // 32 distinct kind bytes are on the wire today (Executed/Rejected share
     // the REPLY kind; every MigrationMsg shares MIGRATION; the cancel work
-    // added CANCEL_MIGRATION, GET_CANCEL_STATS, and CANCEL_STATS; the
+    // added CANCEL_MIGRATION; the retired GET_CANCEL_STATS/CANCEL_STATS and
+    // GET_TIER_STATS/TIER_STATS are gone; the
     // telemetry work added GET_METRICS and METRICS; the metadata-broker
     // work added GET_METRICS_NS, GET_META_REPLICA, META_REPLICA,
     // META_MERGE, META_ACK, GET_BROKER_STATUS, and BROKER_STATUS; the
@@ -480,7 +467,7 @@ fn generator_covers_every_wire_kind() {
     // TIER_DATA, GET_TIER_STATUS, and TIER_STATUS).
     assert_eq!(
         kinds.len(),
-        36,
+        32,
         "frame kinds covered by the generator changed: {kinds:?}"
     );
 }

@@ -4,18 +4,16 @@
 //! Two phases, one checked-in `BENCH_connscale.json`:
 //!
 //! 1. **Idle scaling** — `CONNSCALE_IDLE` (default 10 000) connections are
-//!    opened against a reactor-driver server and left parked.  The
-//!    server's serving threads (`shadowfax-rpc-*`, read out of
-//!    `/proc/<pid>/task/*/stat`) must burn ~0% CPU over a quiet window:
-//!    every connection sits in the epoll interest list, nobody scans
-//!    anything.  The polling driver's burn is measured over a smaller
-//!    idle set for contrast — it wakes every 200µs and scans every
-//!    connection, so its cost is linear in connections.
-//! 2. **Active A/B** — 64 concurrent client threads run the same
-//!    pipelined workload against a polling-driver and a reactor-driver
-//!    server; the reactor's aggregate ops/s must be no worse.
+//!    opened against a server and left parked.  The server's serving
+//!    threads (`shadowfax-rpc-*`, read out of `/proc/<pid>/task/*/stat`)
+//!    must burn ~0% CPU over a quiet window: every connection sits in the
+//!    epoll interest list, nobody scans anything.
+//! 2. **Active load** — 64 concurrent client threads run a pipelined
+//!    workload; the aggregate ops/s is recorded.  It carries no fixed
+//!    bound (it swings widely between hosts and build profiles); serving
+//!    throughput is gated by comparing runs of the repository benchmark.
 //!
-//! Prints `CONNSCALE ...` lines the CI job publishes in its summary.
+//! Prints a `CONNSCALE ...` line the CI job publishes in its summary.
 
 use std::io::Write as _;
 use std::net::TcpStream;
@@ -36,7 +34,7 @@ const IDLE_ENV: &str = "CONNSCALE_IDLE";
 /// Active-phase client threads (one connection-set each).
 const ACTIVE_CLIENTS: usize = 64;
 
-/// Operations each active client issues per driver.
+/// Operations each active client issues.
 const OPS_PER_CLIENT: u64 = 6_000;
 
 fn idle_target() -> usize {
@@ -107,13 +105,12 @@ fn park_connections(addr: &str, n: usize) -> Vec<TcpStream> {
     conns
 }
 
-fn spawn_server(name: &str, driver: &str) -> ServerProcess {
+fn spawn_server(name: &str) -> ServerProcess {
     ServerSpawn {
         log_name: format!("connscale_{name}"),
         servers: 1,
         threads: 2,
         io_threads: Some(2),
-        io_driver: Some(driver.to_string()),
         ..ServerSpawn::default()
     }
     .spawn()
@@ -178,8 +175,8 @@ fn idle_connections_are_free_and_active_throughput_holds() {
     let _ = shadowfax_net::raise_nofile_limit();
     let idle = idle_target();
 
-    // ---- Phase 1: idle scaling on the reactor driver ----
-    let reactor_idle = spawn_server("idle_reactor", "reactor");
+    // ---- Phase 1: idle scaling ----
+    let reactor_idle = spawn_server("idle_reactor");
     let parked = park_connections(&reactor_idle.addr, idle);
     let mut ctrl =
         CtrlClient::connect(&reactor_idle.addr, Duration::from_secs(10)).expect("ctrl connect");
@@ -218,51 +215,23 @@ fn idle_connections_are_free_and_active_throughput_holds() {
         "reactor serving threads burned {reactor_cpu:.2}% CPU with {idle} idle connections"
     );
 
-    // Contrast: the polling driver's burn over a smaller idle set (it
-    // scans every connection every 200µs, so the full set would only make
-    // it worse; capped to keep the bench fast).
-    let polling_idle_conns = idle.min(1_000);
-    let polling_idle = spawn_server("idle_polling", "polling");
-    let parked = park_connections(&polling_idle.addr, polling_idle_conns);
-    std::thread::sleep(Duration::from_millis(300));
-    let polling_cpu = measure_idle_cpu_pct(polling_idle.pid(), Duration::from_secs(2));
-    drop(parked);
-    drop(polling_idle);
-
-    // ---- Phase 2: active A/B at 64 connections ----
-    let polling_srv = spawn_server("ab_polling", "polling");
-    let polling_ops = active_load_ops_per_sec(&polling_srv.addr);
-    drop(polling_srv);
-
-    let reactor_srv = spawn_server("ab_reactor", "reactor");
-    let mut reactor_ops = active_load_ops_per_sec(&reactor_srv.addr);
-    if reactor_ops < polling_ops {
-        // One retry absorbs a noisy-neighbour run before we compare.
-        reactor_ops = reactor_ops.max(active_load_ops_per_sec(&reactor_srv.addr));
-    }
+    // ---- Phase 2: active load at 64 connections ----
+    let reactor_srv = spawn_server("ab_reactor");
+    let reactor_ops = active_load_ops_per_sec(&reactor_srv.addr);
     let mut ctrl =
         CtrlClient::connect(&reactor_srv.addr, Duration::from_secs(10)).expect("ctrl connect");
-    let snap_reactor_ab = ctrl.metrics().expect("reactor A/B snapshot");
+    let snap_reactor_ab = ctrl.metrics().expect("active-load snapshot");
     assert!(
         snap_reactor_ab.counter("rpc.conns.accepted").unwrap_or(0) >= ACTIVE_CLIENTS as u64,
-        "A/B run accepted fewer connections than clients"
+        "active run accepted fewer connections than clients"
     );
     drop(ctrl);
     drop(reactor_srv);
 
-    // "No worse than the threaded path", with a 10% noise allowance on a
-    // shared CI box; the typical result is at parity or better.
-    assert!(
-        reactor_ops >= polling_ops * 0.9,
-        "reactor throughput regressed: {reactor_ops:.0} ops/s vs polling {polling_ops:.0} ops/s"
-    );
-
     // ---- Report ----
     println!(
         "CONNSCALE idle_conns={idle} reactor_idle_cpu_pct={reactor_cpu:.2} \
-         polling_idle_conns={polling_idle_conns} polling_idle_cpu_pct={polling_cpu:.2} \
-         active_clients={ACTIVE_CLIENTS} polling_ops_per_sec={polling_ops:.0} \
-         reactor_ops_per_sec={reactor_ops:.0}"
+         active_clients={ACTIVE_CLIENTS} reactor_ops_per_sec={reactor_ops:.0}"
     );
     let _ = std::io::stdout().flush();
 
@@ -274,17 +243,8 @@ fn idle_connections_are_free_and_active_throughput_holds() {
         .gauge("connscale.idle.reactor_cpu_pct_x100")
         .set((reactor_cpu * 100.0) as u64);
     summary
-        .gauge("connscale.idle.polling_conns")
-        .set(polling_idle_conns as u64);
-    summary
-        .gauge("connscale.idle.polling_cpu_pct_x100")
-        .set((polling_cpu * 100.0) as u64);
-    summary
         .gauge("connscale.active.clients")
         .set(ACTIVE_CLIENTS as u64);
-    summary
-        .gauge("connscale.active.polling_ops_per_sec")
-        .set(polling_ops as u64);
     summary
         .gauge("connscale.active.reactor_ops_per_sec")
         .set(reactor_ops as u64);

@@ -4,9 +4,9 @@
 //! single reply; its connection's outbound buffer crosses the budget and
 //! the server drops it (`rpc.conns.dropped_slow_reader`).  A sibling
 //! client sharing the *same* I/O thread (`--io-threads 1`) keeps issuing
-//! operations throughout and must never stall: on the old path a single
-//! slow reader parked the whole thread in `write_all_nonblocking` for up
-//! to 5 s per write, which made this test impossible to pass.
+//! operations throughout and must never stall: a serving path that
+//! blocked on one connection's socket write would park every sibling
+//! behind the slow reader.
 
 use std::io::{ErrorKind, Write};
 use std::net::TcpStream;
@@ -28,7 +28,6 @@ fn slow_reader_is_dropped_without_stalling_siblings() {
         // One I/O thread: the victim, the sibling, and the metrics
         // connection all share it, so any stall is visible.
         io_threads: Some(1),
-        io_driver: Some("reactor".into()),
         ..ServerSpawn::default()
     }
     .spawn();
